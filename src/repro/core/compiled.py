@@ -100,10 +100,6 @@ class CompiledProgram:
             self._superblocks = compile_superblocks(self)
         return self._superblocks
 
-    @property
-    def upload_plan_bytes(self) -> int:
-        return sum(seg.size for seg in self.upload_plan)
-
     def bind(self, nano: NanoGpuDriver) -> "CompiledExecutor":
         if (nano.family, nano.mmio_base) != self.board_key:
             raise ReplayError(

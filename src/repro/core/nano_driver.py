@@ -450,11 +450,6 @@ class NanoGpuDriver:
             del self._resident[base]
             bases.remove(base)
 
-    def resident_digest(self, va: int) -> Optional[str]:
-        """The content digest resident at ``va``, if any (debug/CLI)."""
-        entry = self._resident.get(va)
-        return entry[0] if entry is not None else None
-
     def forget_resident(self) -> None:
         """Drop all resident-dump knowledge, forcing the next replay to
         re-upload everything (benchmark baselines, paranoia mode)."""

@@ -489,13 +489,11 @@ class V3dRecorder(GpuRecorder):
     def _dump_eligible_regions(self, chain_va: int) -> List[_Region]:
         eligible: Dict[int, _Region] = {}
         # Pointer-chase the control list from the kick registers.
-        entries = jobfmt.walk_control_list(chain_va, self._cpu_read)
-        targets: List[Tuple[int, int]] = [(chain_va, 1)]
-        for entry in entries:
+        targets: List[Tuple[int, int]] = []
+        for entry in jobfmt.walk_control_list(chain_va, self._cpu_read):
+            targets.append((entry.va, entry.size))
             if entry.opcode == jobfmt.CL_EXEC_SHADER:
                 targets.append((entry.shader_va, entry.shader_size))
-            elif entry.opcode == jobfmt.CL_BRANCH:
-                targets.append((entry.target_va, 1))
         for va, size in targets:
             for region in self._regions_containing(va, size):
                 eligible[region.va] = region

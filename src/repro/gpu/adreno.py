@@ -17,12 +17,11 @@ claim ("our GPU model fits popular integrated GPUs"):
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.errors import (GpuPageFault, JobDecodeError,
                           ShaderDecodeError)
+from repro.gpu import jobs as jobfmt
 from repro.gpu.device import GpuDevice, RunningJob
 from repro.gpu.isa import decode_program
 from repro.gpu.mmu import PTE_FORMATS
@@ -44,10 +43,6 @@ UCHE_FLUSH = 1 << 0
 ADRENO_GPU_ID = 0x0604_0001  # Adreno 640-class
 ADRENO_CORE_COUNT = 2
 ADRENO_CLOCK_HZ = 585_000_000
-
-#: Ring packets: magic, shader size, shader VA.
-RING_PKT = struct.Struct("<IIQ")
-RING_PKT_MAGIC = 0x37544B50  # "PKT7"
 
 RESET_DELAY_NS = 60 * US
 PWRON_DELAY_NS = 35 * US
@@ -90,13 +85,6 @@ def _adreno_registers() -> List[RegisterDef]:
         RegisterDef("UCHE_CACHE_FLUSH", 0x064, rw_trig,
                     doc="bit0: flush; hardware clears when done"),
     ]
-
-
-@dataclass
-class _RingEntry:
-    offset: int
-    shader_va: int
-    shader_size: int
 
 
 class AdrenoGpu(GpuDevice):
@@ -234,44 +222,37 @@ class AdrenoGpu(GpuDevice):
 
     # -- ring-buffer command processor -------------------------------------------------------
 
-    def _ring_base(self) -> int:
-        return ((self.regs.peek("CP_RB_BASE_HI") << 32)
-                | self.regs.peek("CP_RB_BASE_LO"))
-
     def _on_doorbell(self, _old: int, wptr: int) -> None:
         """Consume ring packets from RPTR up to the new WPTR."""
         if not self.regs.peek("GDSC_PWR_STATUS") or \
                 not self.regs.peek("SPTP_PWR_STATUS"):
             self._assert_int(INT_RBBM_ERROR)
             return
-        size = self.regs.peek("CP_RB_SIZE")
-        base = self._ring_base()
-        rptr = self.regs.peek("CP_RB_RPTR")
-        if size == 0 or wptr % RING_PKT.size or wptr > size:
-            self._assert_int(INT_RBBM_ERROR)
-            return
-        offset = rptr
+        offset = self.regs.peek("CP_RB_RPTR")
         # Account for packets already queued but not yet retired.
         for job in [self._hw_active] + self._hw_pending:
             if job is not None:
-                offset = max(offset, job.chain_va + RING_PKT.size)
-        while offset < wptr:
+                offset = max(offset, job.chain_va + jobfmt.RING_PKT_SIZE)
+        kick = jobfmt.decode_kick("CP_RB_WPTR", wptr, self.regs.peek,
+                                  rptr=offset)
+        packets = jobfmt.walk_kick(
+            kick, lambda va, n: self.mmu.read_va(va, n, access="x"))
+        while True:
             try:
-                raw = self.mmu.read_va(base + offset, RING_PKT.size,
-                                       access="x")
-                magic, blob_size, shader_va = RING_PKT.unpack(raw)
-                if magic != RING_PKT_MAGIC:
-                    raise JobDecodeError(f"bad ring magic {magic:#x}")
+                packet = next(packets, None)
+                if packet is None:
+                    return
                 program = decode_program(
-                    self.mmu.read_va(shader_va, blob_size, access="x"))
+                    self.mmu.read_va(packet.shader_va, packet.shader_size,
+                                     access="x"))
             except GpuPageFault as fault:
                 self._raise_smmu_fault(fault.va)
                 return
             except (JobDecodeError, ShaderDecodeError):
                 self._assert_int(INT_RBBM_ERROR)
                 return
-            job = RunningJob(0, offset, [program], None,
-                             self.core_count)
+            job = RunningJob(0, packet.desc_va - kick.ring_base, [program],
+                             None, self.core_count)
             self._enter_busy()
             # Strict ring order: a packet may only start when nothing
             # is active *and* nothing older waits in the queue.
@@ -279,7 +260,6 @@ class AdrenoGpu(GpuDevice):
                 self._begin_execution(job)
             else:
                 self._hw_pending.append(job)
-            offset += RING_PKT.size
 
     def _begin_execution(self, job: RunningJob) -> None:
         duration = sum(
@@ -304,7 +284,7 @@ class AdrenoGpu(GpuDevice):
             self._raise_smmu_fault(fault.va)
             return
         self._exit_busy()
-        self.regs.poke("CP_RB_RPTR", job.chain_va + RING_PKT.size)
+        self.regs.poke("CP_RB_RPTR", job.chain_va + jobfmt.RING_PKT_SIZE)
         self._assert_int(INT_CP_DONE)
         if self._hw_pending:
             self._begin_execution(self._hw_pending.pop(0))

@@ -342,9 +342,9 @@ class MaliGpu(GpuDevice):
 
     def _start_job(self, slot: int) -> None:
         regs = self.regs
-        head = (regs.peek(f"JS{slot}_HEAD_HI") << 32) | \
-            regs.peek(f"JS{slot}_HEAD_LO")
-        affinity = regs.peek(f"JS{slot}_AFFINITY")
+        kick = jobfmt.decode_kick(f"JS{slot}_COMMAND", JS_CMD_START,
+                                  regs.peek)
+        head = kick.chain_va
 
         if self._resetting or self._jobs[slot] is not None:
             self._fail_job(slot, head)
@@ -358,19 +358,19 @@ class MaliGpu(GpuDevice):
             self._raise_mmu_fault(FAULT_MEMATTR, head)
             self._fail_job(slot, head)
             return
-        active_cores = affinity & regs.peek("SHADER_READY") \
+        active_cores = kick.affinity & regs.peek("SHADER_READY") \
             & ~self.offline_core_mask
         if active_cores == 0:
             self._fail_job(slot, head)
             return
 
         try:
-            chain = jobfmt.walk_mali_chain(
-                head, lambda va, n: self.mmu.read_va(va, n, access="x"))
+            dispatches = list(jobfmt.walk_kick(
+                kick, lambda va, n: self.mmu.read_va(va, n, access="x")))
             programs = [
                 decode_program(self.mmu.read_va(d.shader_va, d.shader_size,
                                                 access="x"))
-                for _va, d in chain
+                for d in dispatches
             ]
         except GpuPageFault as fault:
             self._raise_mmu_fault(

@@ -409,9 +409,6 @@ class PageTableBuilder:
             pa, perms = self._mappings[va]
             yield va, pa, perms
 
-    def mapped_page_count(self) -> int:
-        return len(self._mappings)
-
     def table_pages(self) -> List[int]:
         """Physical pages holding the tables themselves."""
         return [self.root_pa] + sorted(self._l1_tables.values())

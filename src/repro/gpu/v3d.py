@@ -201,19 +201,19 @@ class V3dGpu(GpuDevice):
     # -- job execution -----------------------------------------------------------------
 
     def _on_kick(self, _old: int, end_va: int) -> None:
-        base_va = self.regs.peek("CT0QBA")
+        kick = jobfmt.decode_kick("CT0QEA", end_va, self.regs.peek)
         if self._job is not None:
             # One outstanding job only; a second kick is a CT error.
             self._assert_int(INT_CTERR)
             return
         self.regs.poke("CTL_STATUS", 0)
         try:
-            entries = jobfmt.walk_control_list(
-                base_va, lambda va, n: self.mmu.read_va(va, n, access="r"))
+            dispatches = list(jobfmt.walk_kick(
+                kick, lambda va, n: self.mmu.read_va(va, n, access="r")))
             programs = [
-                decode_program(self.mmu.read_va(e.shader_va, e.shader_size,
+                decode_program(self.mmu.read_va(d.shader_va, d.shader_size,
                                                 access="r"))
-                for e in entries if e.opcode == jobfmt.CL_EXEC_SHADER
+                for d in dispatches
             ]
         except GpuPageFault as fault:
             self._raise_mmu_fault(fault.va)
@@ -237,10 +237,9 @@ class V3dGpu(GpuDevice):
 
         self._enter_busy()
         handle = self._schedule(duration, self._complete_job, "v3d-job")
-        self._job = RunningJob(0, base_va, programs, handle,
+        self._job = RunningJob(0, kick.chain_va, programs, handle,
                                self.core_count)
         self.note_job_executing(self._job)
-        del end_va
 
     def _complete_job(self) -> None:
         job = self._job

@@ -40,7 +40,8 @@ from repro.core import actions as act
 from repro.core.dumps import MemoryDump
 from repro.core.recording import Recording
 from repro.core.replayer import Replayer
-from repro.errors import ObsError, ReplayError
+from repro.errors import JobDecodeError, ObsError, ReplayError
+from repro.gpu import jobs as jobfmt
 from repro.obs.flight import event_to_dict
 from repro.soc.machine import Machine
 
@@ -490,12 +491,10 @@ def first_kick_chain_va(recording: Recording) -> int:
     """GPU VA of the first kicked job's descriptor chain.
 
     Replays the register writes symbolically up to the first
-    ``is_job_kick`` write: Mali latches the chain head in
-    ``JS{slot}_HEAD_HI/LO`` before ``JS{slot}_COMMAND``; v3d keeps the
-    control-list base in ``CT0QBA`` and kicks via ``CT0QEA``; Adreno
-    programs the ring-buffer base into ``CP_RB_BASE_HI/LO`` and kicks
-    by bumping ``CP_RB_WPTR``, so the first packets decode from the
-    ring base.
+    ``is_job_kick`` write and decodes it with
+    :func:`repro.gpu.jobs.decode_kick` (Mali chain head, v3d
+    control-list base, Adreno ring base -- the first packets decode
+    from there).
     """
     regs: Dict[str, int] = {}
     for action in recording.actions:
@@ -504,17 +503,12 @@ def first_kick_chain_va(recording: Recording) -> int:
         if not action.is_job_kick:
             regs[action.reg] = action.val
             continue
-        if action.reg.startswith("JS") and action.reg.endswith("_COMMAND"):
-            slot = action.reg[2:-len("_COMMAND")]
-            return (regs.get(f"JS{slot}_HEAD_HI", 0) << 32) \
-                | regs.get(f"JS{slot}_HEAD_LO", 0)
-        if action.reg == "CT0QEA":
-            return regs.get("CT0QBA", 0)
-        if action.reg == "CP_RB_WPTR":
-            return (regs.get("CP_RB_BASE_HI", 0) << 32) \
-                | regs.get("CP_RB_BASE_LO", 0)
-        raise ObsError(
-            f"unrecognized kick register {action.reg!r}")
+        try:
+            return jobfmt.decode_kick(action.reg, action.val,
+                                      lambda name: regs.get(name, 0)
+                                      ).chain_va
+        except JobDecodeError as error:
+            raise ObsError(str(error)) from error
     raise ObsError("recording has no job kick")
 
 

@@ -114,14 +114,6 @@ class ServerConfig:
     #: recorder; the overhead benchmark's "off" arm disables them.
     gpu_counters: bool = True
 
-    @classmethod
-    def from_counts(cls, workers: int, families: Tuple[str, ...],
-                    **kwargs) -> "ServerConfig":
-        """``workers`` workers cycling through ``families``."""
-        assigned = tuple(families[i % len(families)]
-                         for i in range(workers))
-        return cls(families=assigned, **kwargs)
-
 
 class RecordingStore:
     """Content store: (family, model) -> recording, plus the poisoned

@@ -83,14 +83,6 @@ class VirtualClock:
             raise SocError(f"cannot advance time backwards ({delta_ns} ns)")
         self._advance_to(self._now_ns + delta_ns)
 
-    def sleep(self, delta_ns: int) -> None:
-        """Alias of :meth:`advance`; reads naturally in CPU-side code."""
-        self.advance(delta_ns)
-
-    def drain_due(self) -> None:
-        """Fire events due at the current instant without moving time."""
-        self._advance_to(self._now_ns)
-
     def next_event_ns(self) -> Optional[int]:
         """Due time of the earliest pending event, or None."""
         self._discard_cancelled()

@@ -65,9 +65,6 @@ class InterruptController:
             if number in self._pending:
                 self._dispatch(number)
 
-    def is_masked(self, number: int) -> bool:
-        return number in self._masked
-
     def is_pending(self, number: int) -> bool:
         return number in self._pending
 

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional
 
 from repro.errors import DriverError
 from repro.gpu import adreno as hw
+from repro.gpu import jobs as jobfmt
 from repro.soc.machine import Machine
 from repro.stack.driver.base import GpuDriver
 from repro.stack.driver.ioctl import IoctlCode
@@ -208,7 +209,7 @@ class AdrenoDriver(GpuDriver):
         """Rewind the ring when idle and running out of packet space."""
         if self.outstanding_jobs or self.queue.running_count:
             return
-        if self._wptr + 64 * hw.RING_PKT.size <= RING_BYTES:
+        if self._wptr + 64 * jobfmt.RING_PKT_SIZE <= RING_BYTES:
             return
         self.rewind_ring()
 
@@ -230,17 +231,17 @@ class AdrenoDriver(GpuDriver):
 
     def kick_hardware(self, slot: int, record) -> None:
         ctx = self.require_ctx()
-        if self._wptr + hw.RING_PKT.size > RING_BYTES:
+        if self._wptr + jobfmt.RING_PKT_SIZE > RING_BYTES:
             raise DriverError("ring buffer overflow")
-        packet = hw.RING_PKT.pack(hw.RING_PKT_MAGIC, record.affinity,
-                                  record.chain_va)
+        # On Adreno the submit ioctl's second argument is the blob size.
+        packet = jobfmt.encode_ring_packet(record.chain_va, record.affinity)
         ctx.cpu_write(self._ring_va + self._wptr, packet)
         self._job_counter += 1
         self.trace_job_kick(slot, record.chain_va, self._job_counter,
                             f"{_SRC}/a6xx_gpu.c:a6xx_submit")
         self.outstanding_jobs += 1
         self._inflight.append(slot)
-        self._wptr += hw.RING_PKT.size
+        self._wptr += jobfmt.RING_PKT_SIZE
         self.reg_write("CP_RB_WPTR", self._wptr,
                        f"{_SRC}/a6xx_gpu.c:a6xx_flush")
 

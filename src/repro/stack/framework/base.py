@@ -142,10 +142,6 @@ class NetworkRunner:
         self._require_configured()
         return self.buffers[f"{self.model.output_layer().name}:out"]
 
-    def input_buffer(self) -> Buffer:
-        self._require_configured()
-        return self.buffers["input"]
-
     def job_count_per_run(self) -> int:
         return sum(len(g.kernels) for g in self.lowered)
 

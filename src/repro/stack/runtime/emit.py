@@ -2,9 +2,10 @@
 
 Per GPU family, this builds the bytes the hardware will parse: a Mali
 job-chain descriptor pointing at the shader blob, or a v3d control
-list. The layout is position-dependent (descriptors embed absolute GPU
-VAs), which is why recordings restore dumps at the exact recorded
-virtual addresses.
+list (Adreno ring packets are appended by the driver). Every encoding
+comes from :mod:`repro.gpu.jobs`. The layout is position-dependent
+(descriptors embed absolute GPU VAs), which is why recordings restore
+dumps at the exact recorded virtual addresses.
 """
 
 from __future__ import annotations
@@ -80,12 +81,9 @@ class MaliJobEmitter(JobEmitter):
 class V3dJobEmitter(JobEmitter):
     """A control list of EXEC packets followed by HALT; shaders behind."""
 
-    _EXEC_SIZE = 13  # opcode + u64 + u32
-    _HALT_SIZE = 1
-
     def layout_size(self, shader_blobs: List[bytes]) -> int:
-        size = align_up(len(shader_blobs) * self._EXEC_SIZE
-                        + self._HALT_SIZE, SHADER_ALIGN)
+        size = align_up(len(shader_blobs) * jobfmt.CL_EXEC_SIZE
+                        + jobfmt.CL_HALT_SIZE, SHADER_ALIGN)
         for blob in shader_blobs:
             size += align_up(len(blob), SHADER_ALIGN)
         return size
@@ -93,8 +91,8 @@ class V3dJobEmitter(JobEmitter):
     def emit(self, region_va: int, write, shader_blobs, submit_arg):
         if not shader_blobs:
             raise RuntimeApiError("cannot emit an empty control list")
-        list_size = align_up(len(shader_blobs) * self._EXEC_SIZE
-                             + self._HALT_SIZE, SHADER_ALIGN)
+        list_size = align_up(len(shader_blobs) * jobfmt.CL_EXEC_SIZE
+                             + jobfmt.CL_HALT_SIZE, SHADER_ALIGN)
         shader_base = region_va + list_size
         shader_vas: List[Tuple[int, int]] = []
         cursor = shader_base

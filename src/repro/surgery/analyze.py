@@ -6,8 +6,10 @@ last-written value of every register, the live GPU mappings and a
 sparse memory image built from the Upload actions in stream order. At
 every job-kick write it decodes the family's dispatch structure out of
 the image (Mali job-descriptor chain, v3d control list, Adreno ring
-packet), follows it to the shader programs, and unions every VA range
-the job's MMIO/DMA chain actually touches into the job's **closure**:
+packet) with the device's own codec, :mod:`repro.gpu.jobs` -- so it
+accepts exactly what the GPU accepts -- follows it to the shader
+programs, and unions every VA range the job's MMIO/DMA chain actually
+touches into the job's **closure**:
 
 - descriptor bytes (chain / control list / ring packet),
 - shader program blobs,
@@ -23,20 +25,15 @@ capture replay in :mod:`repro.surgery.slicer`.
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core import actions as act
 from repro.core.recording import Recording
 from repro.errors import JobDecodeError, ShaderDecodeError, SurgeryError
-from repro.gpu import adreno as adreno_hw
-from repro.gpu.isa import Program, decode_program
-from repro.gpu.jobs import (CL_BRANCH, CL_EXEC_SHADER, CL_HALT,
-                            MALI_JOB_DESC_SIZE, decode_mali_job)
-from repro.gpu.isa import Op
+from repro.gpu import jobs as jobfmt
+from repro.gpu.isa import Op, Program, decode_program
 from repro.gpu.shader_exec import compute_fill, compute_op, output_arity
 
 Range = Tuple[int, int]  # (va, size)
@@ -170,8 +167,7 @@ class JobInfo:
     job_index: int
     kick_index: int            # action index of the is_job_kick write
     completion_end: int        # exclusive action index past the IrqExit
-    chain_va: int
-    setup: Dict[str, int]      # family-specific kick-time register state
+    kick: jobfmt.Kick          # the kick write, decoded
     kernels: List[KernelInfo]
     #: Live mappings at kick time: addr -> (num_pages, raw_pte_flags).
     live_maps: Dict[int, Tuple[int, int]]
@@ -180,6 +176,24 @@ class JobInfo:
     reads: List[Range] = field(default_factory=list)
     #: Bytes of the closure the parent's own dumps cover at kick time.
     dump_covered_bytes: int = 0
+
+    @property
+    def chain_va(self) -> int:
+        return self.kick.chain_va
+
+    @property
+    def setup(self) -> Dict[str, int]:
+        """The family-specific kick-time register state."""
+        kick = self.kick
+        if kick.family == "mali":
+            return {"slot": kick.slot,
+                    "head_lo": kick.chain_va & 0xFFFFFFFF,
+                    "head_hi": kick.chain_va >> 32,
+                    "affinity": kick.affinity, "command": kick.value}
+        if kick.family == "v3d":
+            return {"qba": kick.chain_va, "qea": kick.value}
+        return {"ring_base": kick.ring_base, "ring_size": kick.ring_size,
+                "rptr": kick.rptr, "wptr": kick.value}
 
     @property
     def closure_bytes(self) -> int:
@@ -227,69 +241,6 @@ class RecordingAnalysis:
             f"(jobs 0..{len(self.jobs) - 1})")
 
 
-def _walk_mali(chain_va: int, image: SparseImage) -> List[KernelInfo]:
-    kernels: List[KernelInfo] = []
-    va = chain_va
-    seen: set = set()
-    while va:
-        if va in seen or len(kernels) > 4096:
-            raise SurgeryError(f"mali job chain cycles at {va:#x}")
-        seen.add(va)
-        desc = decode_mali_job(image.read(va, MALI_JOB_DESC_SIZE))
-        program = decode_program(
-            image.read(desc.shader_va, desc.shader_size))
-        kernels.append(KernelInfo(len(kernels), va, MALI_JOB_DESC_SIZE,
-                                  desc.shader_va, desc.shader_size,
-                                  program))
-        va = desc.next_va
-    return kernels
-
-
-def _walk_v3d(qba: int, image: SparseImage) -> List[KernelInfo]:
-    # Walk packets manually so every entry keeps its VA (the composer
-    # needs byte offsets for the pointer rewrite).
-    kernels: List[KernelInfo] = []
-    va = qba
-    hops = 0
-    while True:
-        hops += 1
-        if hops > 16384:
-            raise SurgeryError(f"v3d control list cycles at {va:#x}")
-        opcode = image.read(va, 1)[0]
-        if opcode == CL_HALT:
-            return kernels
-        if opcode == CL_EXEC_SHADER:
-            _, shader_va, size = struct.unpack(
-                "<BQI", image.read(va, 13))
-            program = decode_program(image.read(shader_va, size))
-            kernels.append(KernelInfo(len(kernels), va, 13,
-                                      shader_va, size, program))
-            va += 13
-            continue
-        if opcode == CL_BRANCH:
-            _, target = struct.unpack("<BQ", image.read(va, 9))
-            va = target
-            continue
-        raise SurgeryError(f"unknown control-list opcode {opcode} at "
-                           f"{va:#x}")
-
-
-def _walk_adreno(base: int, rptr: int, wptr: int,
-                 image: SparseImage) -> List[KernelInfo]:
-    kernels: List[KernelInfo] = []
-    size = adreno_hw.RING_PKT.size
-    for off in range(rptr, wptr, size):
-        raw = image.read(base + off, size)
-        magic, blob_size, shader_va = adreno_hw.RING_PKT.unpack(raw)
-        if magic != adreno_hw.RING_PKT_MAGIC:
-            raise SurgeryError(
-                f"bad ring packet magic {magic:#x} at offset {off}")
-        program = decode_program(image.read(shader_va, blob_size))
-        kernels.append(KernelInfo(len(kernels), base + off, size,
-                                  shader_va, blob_size, program))
-    return kernels
-
-
 def analyze_recording(recording: Recording) -> RecordingAnalysis:
     """Recover the per-job structure of ``recording``.
 
@@ -335,49 +286,26 @@ def _decode_kick(family: str, recording: Recording, idx: int,
                  live: Dict[int, Tuple[int, int]], image: SparseImage,
                  rptr: int) -> Tuple[JobInfo, int]:
     """Build the JobInfo for the kick at action ``idx``."""
-    desc_ranges: List[Range] = []
-    if family == "mali":
-        slot = int(action.reg[2])
-        chain_va = ((regs.get(f"JS{slot}_HEAD_HI", 0) << 32)
-                    | regs.get(f"JS{slot}_HEAD_LO", 0))
-        kernels = _walk_mali(chain_va, image)
-        setup = {
-            "slot": slot,
-            "head_lo": regs.get(f"JS{slot}_HEAD_LO", 0),
-            "head_hi": regs.get(f"JS{slot}_HEAD_HI", 0),
-            "affinity": regs.get(f"JS{slot}_AFFINITY", 0),
-            "command": action.val,
-        }
-        next_rptr = rptr
-    elif family == "v3d":
-        chain_va = regs.get("CT0QBA", 0)
-        kernels = _walk_v3d(chain_va, image)
-        setup = {"qba": chain_va, "qea": action.val}
+    kick = jobfmt.decode_kick(action.reg, action.val,
+                              lambda name: regs.get(name, 0), rptr)
+    if kick.family != family:
+        raise SurgeryError(f"{action.reg} kicks a {kick.family} job in a "
+                           f"{family} recording")
+    closure: List[Range] = []
+    if family == "v3d" and kick.value > kick.chain_va:
         # The flat list segment from base to the kick's end address.
-        if action.val > chain_va:
-            desc_ranges.append((chain_va, action.val - chain_va))
-        next_rptr = rptr
-    elif family == "adreno":
-        base = ((regs.get("CP_RB_BASE_HI", 0) << 32)
-                | regs.get("CP_RB_BASE_LO", 0))
-        wptr = action.val
-        if wptr <= rptr:
+        closure.append((kick.chain_va, kick.value - kick.chain_va))
+    if family == "adreno":
+        if kick.value <= rptr:
             raise SurgeryError(
                 f"adreno doorbell at action {idx} rewinds the ring "
-                f"(rptr {rptr}, wptr {wptr})")
-        kernels = _walk_adreno(base, rptr, wptr, image)
-        chain_va = base + rptr
-        setup = {
-            "ring_base": base,
-            "ring_size": regs.get("CP_RB_SIZE", 0),
-            "rptr": rptr,
-            "wptr": wptr,
-        }
-        next_rptr = wptr
-    else:
-        raise SurgeryError(f"unknown GPU family {family!r}")
+                f"(rptr {rptr}, wptr {kick.value})")
+        rptr = kick.value
+    kernels = [
+        KernelInfo(pos, d.desc_va, d.desc_size, d.shader_va, d.shader_size,
+                   decode_program(image.read(d.shader_va, d.shader_size)))
+        for pos, d in enumerate(jobfmt.walk_kick(kick, image.read))]
 
-    closure: List[Range] = list(desc_ranges)
     writes: List[Range] = []
     reads: List[Range] = []
     for kernel in kernels:
@@ -391,8 +319,7 @@ def _decode_kick(family: str, recording: Recording, idx: int,
         job_index=action.job_index,
         kick_index=idx,
         completion_end=_completion_end(recording, idx),
-        chain_va=chain_va,
-        setup=setup,
+        kick=kick,
         kernels=kernels,
         live_maps=dict(live),
         closure=merge_ranges(closure),
@@ -400,7 +327,7 @@ def _decode_kick(family: str, recording: Recording, idx: int,
         reads=merge_ranges(reads),
         dump_covered_bytes=image.covered_bytes(closure),
     )
-    return job, next_rptr
+    return job, rptr
 
 
 def apply_kernels(kernels: List[KernelInfo], image: SparseImage) -> None:

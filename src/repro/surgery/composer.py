@@ -13,10 +13,11 @@ Every instance gets its own VA region: the composer picks a
 page-aligned delta per instance, shifts its mappings, uploads and
 output addresses, and **rewrites the pointers inside its dumps** --
 Mali job descriptors (``next_va``/``shader_va``), v3d control-list
-entries, Adreno ring packets, and the tensor operands inside every
-shader program are re-encoded at the new base. Plain tensor-data dumps
-only move; their bytes never change, so a composed session still
-dedups against its slices in the vault.
+entries and Adreno ring packets are re-encoded at the new base by
+:func:`repro.gpu.jobs.rebase` (which rejects bytes the GPU would not
+decode), and so are the tensor operands inside every shader program.
+Plain tensor-data dumps only move; their bytes never change, so a
+composed session still dedups against its slices in the vault.
 
 Because a slice is self-contained (inputs baked into dumps) and every
 occurrence re-uploads its dumps before the kick, each scheduled job
@@ -32,7 +33,6 @@ from __future__ import annotations
 import copy
 import json
 import random
-import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -41,17 +41,14 @@ import numpy as np
 from repro.core import actions as act
 from repro.core.dumps import MemoryDump
 from repro.core.recording import IoBuffer, Recording, RecordingMeta
-from repro.errors import SurgeryError
-from repro.gpu import adreno as adreno_hw
+from repro.errors import JobDecodeError, SurgeryError
+from repro.gpu import jobs as jobfmt
 from repro.gpu.isa import Instruction, Program, TensorRef, decode_program, \
     encode_program
-from repro.gpu.jobs import (CL_BRANCH, CL_EXEC_SHADER, CL_HALT,
-                            decode_mali_job, encode_cl_branch,
-                            encode_cl_exec, encode_cl_halt,
-                            encode_mali_job)
 from repro.obs.session import NULL_OBS
-from repro.surgery.analyze import (JobInfo, analyze_recording, merge_ranges)
-from repro.surgery.slicer import Slice, _REG_ACTIONS, _COMPLETION_ACTIONS
+from repro.surgery.analyze import JobInfo, analyze_recording
+from repro.surgery.slicer import (Slice, _COMPLETION_ACTIONS, _REG_ACTIONS,
+                                  kick_actions)
 
 #: Instance regions are placed on this alignment with one unit of
 #: guard space between them.
@@ -133,46 +130,6 @@ def _rebase_program(blob: bytes, delta: int) -> bytes:
     return out
 
 
-def _rebase_mali_desc(blob: bytes, delta: int) -> bytes:
-    desc = decode_mali_job(blob)
-    from dataclasses import replace
-    return encode_mali_job(replace(
-        desc,
-        next_va=desc.next_va + delta if desc.next_va else 0,
-        shader_va=desc.shader_va + delta))
-
-
-def _rebase_v3d_list(blob: bytes, delta: int) -> bytes:
-    out = bytearray()
-    pos = 0
-    while pos < len(blob):
-        opcode = blob[pos]
-        if opcode == CL_HALT:
-            out += encode_cl_halt()
-            pos += 1
-        elif opcode == CL_EXEC_SHADER:
-            _, shader_va, size = struct.unpack_from("<BQI", blob, pos)
-            out += encode_cl_exec(shader_va + delta, size)
-            pos += 13
-        elif opcode == CL_BRANCH:
-            _, target = struct.unpack_from("<BQ", blob, pos)
-            out += encode_cl_branch(target + delta)
-            pos += 9
-        else:
-            raise SurgeryError(
-                f"unknown control-list opcode {opcode} during rebase")
-    return bytes(out)
-
-
-def _rebase_adreno_ring(blob: bytes, delta: int) -> bytes:
-    pkt = adreno_hw.RING_PKT
-    out = bytearray()
-    for off in range(0, len(blob), pkt.size):
-        magic, size, shader_va = pkt.unpack_from(blob, off)
-        out += pkt.pack(magic, size, shader_va + delta)
-    return bytes(out)
-
-
 @dataclass
 class _Instance:
     """One slice placed at its own VA region inside the composition."""
@@ -191,21 +148,14 @@ class _Instance:
     rebased_pointers: int = 0
 
 
-def _classify_dump(info: JobInfo, va: int, size: int,
-                   family: str) -> str:
-    for kernel in info.kernels:
-        if (va, size) == (kernel.shader_va, kernel.shader_size):
-            return "shader"
-    if family == "mali":
-        if any((va, size) == (k.desc_va, k.desc_size)
-               for k in info.kernels):
-            return "desc"
-    elif family == "v3d":
-        if va == info.setup["qba"]:
-            return "desc"
-    elif family == "adreno":
-        if va == info.setup["ring_base"]:
-            return "desc"
+def _classify_dump(info: JobInfo, va: int, size: int) -> str:
+    if any((va, size) == (k.shader_va, k.shader_size)
+           for k in info.kernels):
+        return "shader"
+    # Structural dumps start at the chain head or at a kernel's
+    # descriptor / packet.
+    if va == info.chain_va or any(va == k.desc_va for k in info.kernels):
+        return "desc"
     return "data"
 
 
@@ -235,51 +185,23 @@ def _place_instance(index: int, slice_: Slice, delta: int) -> _Instance:
             continue
         dump = recording.dumps[action.dump_index]
         data = bytes(dump.data)
-        kind = _classify_dump(info, action.addr, len(data), family)
+        kind = _classify_dump(info, action.addr, len(data))
         if kind == "shader":
             data = _rebase_program(data, delta)
             rebased += sum(len(i.operands) for i in
                            decode_program(data).instructions)
-        elif kind == "desc" and family == "mali":
-            data = _rebase_mali_desc(data, delta)
-            rebased += 2
-        elif kind == "desc" and family == "v3d":
-            data = _rebase_v3d_list(data, delta)
-            rebased += len(info.kernels)
-        elif kind == "desc" and family == "adreno":
-            data = _rebase_adreno_ring(data, delta)
-            rebased += len(info.kernels)
+        elif kind == "desc":
+            try:
+                data = jobfmt.rebase(family, data, delta)
+            except JobDecodeError as error:
+                raise SurgeryError(
+                    f"{recording.meta.workload!r}: dispatch structure at "
+                    f"{action.addr:#x} does not decode: {error}") from error
+            rebased += 2 if family == "mali" else len(info.kernels)
         uploads.append((action.addr + delta, len(dumps)))
         dumps.append(MemoryDump(action.addr + delta, data))
 
-    setup: List[act.RegWrite]
-    if family == "mali":
-        slot = info.setup["slot"]
-        head = info.chain_va + delta
-        setup = [
-            act.RegWrite(reg=f"JS{slot}_HEAD_LO", val=head & 0xFFFFFFFF),
-            act.RegWrite(reg=f"JS{slot}_HEAD_HI", val=head >> 32),
-            act.RegWrite(reg=f"JS{slot}_AFFINITY",
-                         val=info.setup["affinity"]),
-        ]
-        kick = act.RegWrite(reg=f"JS{slot}_COMMAND",
-                            val=info.setup["command"], is_job_kick=True)
-    elif family == "v3d":
-        qba = info.setup["qba"] + delta
-        qea = info.setup["qea"] + delta
-        setup = [act.RegWrite(reg="CT0QBA", val=qba)]
-        kick = act.RegWrite(reg="CT0QEA", val=qea, is_job_kick=True)
-    elif family == "adreno":
-        base = info.setup["ring_base"] + delta
-        setup = [
-            act.RegWrite(reg="CP_RB_BASE_LO", val=base & 0xFFFFFFFF),
-            act.RegWrite(reg="CP_RB_BASE_HI", val=base >> 32),
-            act.RegWrite(reg="CP_RB_SIZE", val=info.setup["ring_size"]),
-        ]
-        kick = act.RegWrite(reg="CP_RB_WPTR", val=info.setup["wptr"],
-                            is_job_kick=True)
-    else:
-        raise SurgeryError(f"unknown GPU family {family!r}")
+    setup, kick = kick_actions(jobfmt.rebase_kick(info.kick, delta))
 
     completion = [
         copy.deepcopy(action) for action in

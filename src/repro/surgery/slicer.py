@@ -46,9 +46,7 @@ from repro.core.dumps import MemoryDump
 from repro.core.recording import IoBuffer, Recording, RecordingMeta
 from repro.core.replayer import Replayer
 from repro.errors import SurgeryError
-from repro.gpu import adreno as adreno_hw
-from repro.gpu.jobs import (decode_mali_job, encode_cl_exec, encode_cl_halt,
-                            encode_mali_job)
+from repro.gpu import jobs as jobfmt
 from repro.obs.session import NULL_OBS
 from repro.surgery.analyze import (JobInfo, KernelInfo, RecordingAnalysis,
                                    Range, SparseImage, analyze_recording,
@@ -269,6 +267,14 @@ def _post_map_config(parent: Recording) -> List[act.RegWrite]:
     return out
 
 
+def kick_actions(kick: jobfmt.Kick
+                 ) -> Tuple[List[act.RegWrite], act.RegWrite]:
+    """The RegWrites that latch ``kick`` and the job-kick write itself."""
+    *setup, (reg, val) = jobfmt.encode_kick(kick)
+    return ([act.RegWrite(reg=r, val=v) for r, v in setup],
+            act.RegWrite(reg=reg, val=val, is_job_kick=True))
+
+
 def _structural_dumps(family: str, kernels: List[KernelInfo],
                       info: JobInfo, image: SparseImage,
                       single_kernel: bool
@@ -284,59 +290,46 @@ def _structural_dumps(family: str, kernels: List[KernelInfo],
     if family == "mali":
         descs = []
         for pos, kernel in enumerate(kernels):
-            desc = decode_mali_job(
+            desc = jobfmt.decode_mali_job(
                 image.read(kernel.desc_va, kernel.desc_size))
             if single_kernel or pos == len(kernels) - 1:
                 desc = replace(desc, next_va=0)
-            dumps.append((kernel.desc_va, encode_mali_job(desc), "desc"))
+            dumps.append((kernel.desc_va, jobfmt.encode_mali_job(desc),
+                          "desc"))
             descs.append({"va": kernel.desc_va,
                           "shader_va": kernel.shader_va,
                           "shader_size": kernel.shader_size,
                           "job_type": desc.job_type})
         head = kernels[0].desc_va
-        slot = info.setup["slot"]
-        structure = {"kind": "mali", "slot": slot, "chain_va": head,
-                     "descs": descs}
-        setup = [
-            act.RegWrite(reg=f"JS{slot}_HEAD_LO", val=head & 0xFFFFFFFF),
-            act.RegWrite(reg=f"JS{slot}_HEAD_HI", val=head >> 32),
-            act.RegWrite(reg=f"JS{slot}_AFFINITY",
-                         val=info.setup["affinity"]),
-        ]
-        kick = act.RegWrite(reg=f"JS{slot}_COMMAND",
-                            val=info.setup["command"], is_job_kick=True)
+        structure = {"kind": "mali", "slot": info.kick.slot,
+                     "chain_va": head, "descs": descs}
+        setup, kick = kick_actions(replace(info.kick, chain_va=head))
     elif family == "v3d":
-        qba = info.setup["qba"]
-        blob = b"".join(encode_cl_exec(k.shader_va, k.shader_size)
-                        for k in kernels) + encode_cl_halt()
+        qba = info.kick.chain_va
+        blob = b"".join(jobfmt.encode_cl_exec(k.shader_va, k.shader_size)
+                        for k in kernels) + jobfmt.encode_cl_halt()
         dumps.append((qba, blob, "desc"))
         structure = {"kind": "v3d", "qba": qba, "qea": qba + len(blob),
-                     "descs": [{"va": qba + 13 * i,
+                     "descs": [{"va": qba + jobfmt.CL_EXEC_SIZE * i,
                                 "shader_va": k.shader_va,
                                 "shader_size": k.shader_size}
                                for i, k in enumerate(kernels)]}
-        setup = [act.RegWrite(reg="CT0QBA", val=qba)]
-        kick = act.RegWrite(reg="CT0QEA", val=qba + len(blob),
-                            is_job_kick=True)
+        setup, kick = kick_actions(replace(info.kick,
+                                           value=qba + len(blob)))
     elif family == "adreno":
-        base = info.setup["ring_base"]
-        pkt_size = adreno_hw.RING_PKT.size
-        packets = []
-        descs = []
-        for i, kernel in enumerate(kernels):
-            raw = image.read(kernel.desc_va, kernel.desc_size)
-            packets.append(raw)
-            descs.append({"va": base + pkt_size * i,
-                          "shader_va": kernel.shader_va,
-                          "shader_size": kernel.shader_size})
-        blob = b"".join(packets)
+        base = info.kick.ring_base
+        blob = b"".join(jobfmt.encode_ring_packet(k.shader_va, k.shader_size)
+                        for k in kernels)
         dumps.append((base, blob, "desc"))
-        wptr = pkt_size * len(kernels)
+        descs = [{"va": base + jobfmt.RING_PKT_SIZE * i,
+                  "shader_va": k.shader_va, "shader_size": k.shader_size}
+                 for i, k in enumerate(kernels)]
+        wptr = len(blob)
         structure = {"kind": "adreno", "ring_base": base,
-                     "ring_size": info.setup["ring_size"],
+                     "ring_size": info.kick.ring_size,
                      "wptr": wptr, "descs": descs}
-        setup = []
-        kick = act.RegWrite(reg="CP_RB_WPTR", val=wptr, is_job_kick=True)
+        # The parent's post-map configuration already programs the ring.
+        setup, kick = [], kick_actions(replace(info.kick, value=wptr))[1]
     else:
         raise SurgeryError(f"unknown GPU family {family!r}")
     for kernel in kernels:

@@ -15,7 +15,7 @@ differential contract is as strong as the zoo path's.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from repro.errors import SurgeryError
 from repro.obs.session import NULL_OBS
 from repro.serve.engine import RecordingStore
 from repro.surgery.composer import Composed
-from repro.surgery.plan import SurgeryPlan, realize_plan
+from repro.surgery.plan import realize_plan
 
 
 class SyntheticRecordingStore(RecordingStore):
@@ -43,18 +43,6 @@ class SyntheticRecordingStore(RecordingStore):
         self.add(family, model, composed.recording)
         self._expected[(family, model)] = \
             composed.manifest.expected_output_arrays()
-
-    @classmethod
-    def from_plan(cls, plan: SurgeryPlan,
-                  recordings: Dict[str, Recording],
-                  board: Optional[str] = None,
-                  obs=NULL_OBS) -> "SyntheticRecordingStore":
-        """Realize a surgery plan into a servable store."""
-        store = cls()
-        for name, composed in realize_plan(plan, recordings,
-                                           board=board, obs=obs):
-            store.add_composed(plan.family, name, composed)
-        return store
 
     def populate_from_models(self, family: str, models: List[str],
                              sessions: int, seed: int,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.gpu import adreno as hw
+from repro.gpu import jobs
 from repro.soc import Machine
 from repro.soc.clock import poll_until
 from repro.units import MS, US
@@ -42,19 +43,19 @@ def space(machine):
 
 def setup_ring(machine, space, packets=64):
     from repro.gpu.mmu import PERM_R, PERM_X
-    ring_va = space.alloc(packets * hw.RING_PKT.size, PERM_R | PERM_X)
+    ring_va = space.alloc(packets * jobs.RING_PKT_SIZE, PERM_R | PERM_X)
     regs = machine.gpu.regs
     regs.write("CP_RB_BASE_LO", ring_va & 0xFFFFFFFF)
     regs.write("CP_RB_BASE_HI", ring_va >> 32)
-    regs.write("CP_RB_SIZE", packets * hw.RING_PKT.size)
+    regs.write("CP_RB_SIZE", packets * jobs.RING_PKT_SIZE)
     return ring_va
 
 
 def ring_submit(machine, space, ring_va, wptr, shader_va, size):
-    packet = hw.RING_PKT.pack(hw.RING_PKT_MAGIC, size, shader_va)
+    packet = jobs.encode_ring_packet(shader_va, size)
     space.write(ring_va + wptr, packet)
-    machine.gpu.regs.write("CP_RB_WPTR", wptr + hw.RING_PKT.size)
-    return wptr + hw.RING_PKT.size
+    machine.gpu.regs.write("CP_RB_WPTR", wptr + jobs.RING_PKT_SIZE)
+    return wptr + jobs.RING_PKT_SIZE
 
 
 def wait_int(machine, bits, timeout=100 * MS):
@@ -75,7 +76,7 @@ class TestRingExecution:
         ring_submit(machine, space, ring_va, 0, shader_va, size)
         status = wait_int(machine, hw.INT_CP_DONE)
         assert status & hw.INT_CP_DONE
-        assert machine.gpu.regs.read("CP_RB_RPTR") == hw.RING_PKT.size
+        assert machine.gpu.regs.read("CP_RB_RPTR") == jobs.RING_PKT_SIZE
         result = np.frombuffer(space.read(out_va, len(a) * 4), np.float32)
         assert np.array_equal(result, a + b)
 
@@ -101,20 +102,20 @@ class TestRingExecution:
         machine.clock.advance(100 * MS)
         result = np.frombuffer(space.read(buf, 64), np.float32)
         assert np.allclose(result, 6.0)
-        assert machine.gpu.regs.peek("CP_RB_RPTR") == 2 * hw.RING_PKT.size
+        assert machine.gpu.regs.peek("CP_RB_RPTR") == 2 * jobs.RING_PKT_SIZE
 
     def test_bad_packet_is_rbbm_error(self, machine, space):
         ring_va = setup_ring(machine, space)
-        space.write(ring_va, b"\x11" * hw.RING_PKT.size)
-        machine.gpu.regs.write("CP_RB_WPTR", hw.RING_PKT.size)
+        space.write(ring_va, b"\x11" * jobs.RING_PKT_SIZE)
+        machine.gpu.regs.write("CP_RB_WPTR", jobs.RING_PKT_SIZE)
         assert machine.gpu.regs.peek("RBBM_INT_0_STATUS") \
             & hw.INT_RBBM_ERROR
 
     def test_unmapped_shader_is_smmu_fault(self, machine, space):
         ring_va = setup_ring(machine, space)
-        packet = hw.RING_PKT.pack(hw.RING_PKT_MAGIC, 64, 0x0F00_0000)
+        packet = jobs.encode_ring_packet(0x0F00_0000, 64)
         space.write(ring_va, packet)
-        machine.gpu.regs.write("CP_RB_WPTR", hw.RING_PKT.size)
+        machine.gpu.regs.write("CP_RB_WPTR", jobs.RING_PKT_SIZE)
         regs = machine.gpu.regs
         assert regs.peek("RBBM_INT_0_STATUS") & hw.INT_SMMU_FAULT
         assert regs.read("SMMU_FSR") == 1
@@ -123,7 +124,7 @@ class TestRingExecution:
     def test_doorbell_without_power_is_error(self, space):
         machine = space.machine
         machine.gpu.regs.poke("GDSC_PWR_STATUS", 0)
-        machine.gpu.regs.write("CP_RB_WPTR", hw.RING_PKT.size)
+        machine.gpu.regs.write("CP_RB_WPTR", jobs.RING_PKT_SIZE)
         assert machine.gpu.regs.peek("RBBM_INT_0_STATUS") \
             & hw.INT_RBBM_ERROR
 
